@@ -49,7 +49,10 @@ class Workload:
     ``rounds`` timed rounds follow ``warmup`` untimed ones; ``setups`` is how
     many times an untraced run builds the federation to take the median
     set-up time.  ``rounds`` is the count for a 10-second run and scales
-    linearly with ``--seconds``.
+    linearly with ``--seconds``.  The timed rounds are split over
+    ``federations`` of the builds: a socket federation's round time depends
+    on the build (its threads and connections) by up to ~20%, so
+    socket-loopback pools its rounds over five builds.
     """
 
     name: str
@@ -63,6 +66,7 @@ class Workload:
     warmup: int = 2
     rounds: int = 100
     setups: int = 3
+    federations: int = 1
 
     def timed_rounds(self, seconds: float) -> int:
         """Timed rounds for a run of *seconds* (at least 20: a p50 tail)."""
@@ -82,7 +86,7 @@ WORKLOADS = {w.name: w for w in (
              warmup=2, rounds=15, setups=2),
     Workload("socket-loopback",
              n_clients=2, participants=2, tries=1, socket=True,
-             samples_per_client=48, warmup=10, rounds=800, setups=5),
+             samples_per_client=32, warmup=10, rounds=1000, setups=5, federations=5),
 )}
 
 

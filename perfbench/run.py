@@ -11,7 +11,9 @@ outputs and prints every end-to-end metric.  ``--trace 1`` runs the workload
 twice — once untraced, once with every layer entry point wrapped
 (:mod:`e2e_trace`) — checks that both runs select the same cohorts and reach
 the same accuracy, and prints the per-layer metrics, including the tracing
-overhead.  The last line of standard output is one JSON object::
+overhead.  Run as a command, the process stays on one core, and every time
+it reports is in reference seconds (:mod:`e2e_probe`).  The last line of
+standard output is one JSON object::
 
     {"correct": true, "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -44,7 +46,9 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 
 #: a seed never used while the benchmark was written; check claims on it too
-HELD_OUT_SEED = 9173
+HELD_OUT_SEED = 7759
+#: thread-count variables of the BLAS libraries numpy may be built against
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: end-to-end metrics: name -> (unit, better)
 END_TO_END = {
@@ -104,8 +108,12 @@ class RunResult:
 
     #: (start, end) of the set-up, in perf_counter seconds
     setup_window: "tuple[float, float]"
+    #: reference seconds per wall second of the set-up (:mod:`e2e_probe`)
+    setup_scale: float
     #: wall time of every round, warm-up included
     round_times: list
+    #: reference seconds per wall second of every round
+    round_scales: list
     history: object
     #: final global model state
     state: dict
@@ -115,7 +123,13 @@ class RunResult:
 
     @property
     def setup_s(self) -> float:
-        return self.setup_window[1] - self.setup_window[0]
+        """Set-up time in reference seconds."""
+        return (self.setup_window[1] - self.setup_window[0]) * self.setup_scale
+
+    def timed(self, warmup: int) -> list:
+        """Reference seconds of every round after the first *warmup*."""
+        return [seconds * scale for seconds, scale
+                in zip(self.round_times[warmup:], self.round_scales[warmup:])]
 
     def digest(self) -> str:
         """SHA-256 of every round's selected cohort, in order."""
@@ -129,13 +143,19 @@ class RunResult:
 
 def run_federation(workload, seed: int, warmup: int, rounds: int,
                    workdir: str, record_sizes: bool = False) -> RunResult:
-    """Build the federation (timed as set-up), run it and close it."""
+    """Build the federation (timed as set-up), run it and close it.
+
+    The host probe follows the set-up and every round, outside their timings.
+    """
+    from e2e_probe import HostProbe
     from e2e_workloads import Federation
 
+    probe = HostProbe()
     setup_start = perf_counter()
     federation = Federation(workload, seed, warmup + rounds, workdir)
     setup_end = perf_counter()
     try:
+        setup_scale = probe.scale_after(setup_end - setup_start)
         simulation = federation.simulation
         sizes = []
 
@@ -146,39 +166,50 @@ def run_federation(workload, seed: int, warmup: int, rounds: int,
 
         if record_sizes:
             record()
-        marks = [perf_counter()]
+        times, scales = [], []
+        round_start = [perf_counter()]
 
         def progress(_record) -> None:
-            marks.append(perf_counter())
+            times.append(perf_counter() - round_start[0])
             if record_sizes:
                 record()
+            scales.append(probe.scale_after(times[-1]))
+            round_start[0] = perf_counter()
 
         history = simulation.run(warmup + rounds, progress=progress)
         state = simulation.server.global_state()
     finally:
         federation.close()
         gc.collect()
-    times = [b - a for a, b in zip(marks, marks[1:])]
-    return RunResult((setup_start, setup_end), times, history, state, sizes)
+    return RunResult((setup_start, setup_end), setup_scale, times, scales,
+                     history, state, sizes)
 
 
 def time_setup(workload, seed: int, rounds: int, workdir: str) -> float:
-    """Seconds to build (and then close) the federation of *workload*."""
+    """Reference seconds to build (and then close) the federation of *workload*."""
+    from e2e_probe import HostProbe
     from e2e_workloads import Federation
 
     start = perf_counter()
     federation = Federation(workload, seed, rounds, workdir)
     elapsed = perf_counter() - start
+    scale = HostProbe().scale_after(elapsed)
     federation.close()
     gc.collect()
-    return elapsed
+    return elapsed * scale
+
+
+#: highest percentile reported as the tail; further out, a run's ten slowest
+#: rounds are whichever bursts the shared host happened to have
+TAIL_PERCENTILE_CAP = 95
 
 
 def tail(values: list) -> "tuple[float, int]":
-    """``(value, percentile)``: the highest whole percentile with >= 10 values beyond."""
+    """``(value, percentile)``: the highest whole percentile with >= 10 values
+    beyond it, capped at :data:`TAIL_PERCENTILE_CAP`."""
     ordered = sorted(values)
     n = len(ordered)
-    percentile = max(1, math.floor(100 * (n - 10) / n))
+    percentile = max(1, min(TAIL_PERCENTILE_CAP, math.floor(100 * (n - 10) / n)))
     rank = math.ceil(percentile / 100 * n)
     return ordered[rank - 1], percentile
 
@@ -250,19 +281,31 @@ def socket_matches_inprocess(workload, seed: int, result: RunResult) -> bool:
 
 
 def end_to_end(workload, seed: int, seconds: float, workdir: str, checks: Checks):
-    """Untraced run: median set-up over several builds, then the timed rounds."""
-    rounds = workload.timed_rounds(seconds)
-    total = workload.warmup + rounds
-    setups = [time_setup(workload, seed, total, workdir)
-              for _ in range(workload.setups - 1)]
-    result = run_federation(workload, seed, workload.warmup, rounds, workdir)
-    setups.append(result.setup_s)
-    workload_checks(checks, workload, seed, result)
+    """Untraced run: median set-up over several builds, then the timed rounds.
 
-    timed = result.round_times[workload.warmup:]
-    attempted, failed = update_counts(result.history, rounds)
+    The timed rounds are split evenly over ``workload.federations`` identical
+    builds (same seed, same rounds) and pooled; each of those builds also
+    counts as one of the ``workload.setups`` set-ups.
+    """
+    warmup = workload.warmup
+    rounds = max(1, workload.timed_rounds(seconds) // workload.federations)
+    setups = [time_setup(workload, seed, warmup + rounds, workdir)
+              for _ in range(workload.setups - workload.federations)]
+    results = [run_federation(workload, seed, warmup, rounds, workdir)
+               for _ in range(workload.federations)]
+    setups += [result.setup_s for result in results]
+    result = results[-1]
+    workload_checks(checks, workload, seed, result)
+    if len(results) > 1:
+        checks.run("repeated_builds_agree", lambda: all(
+            other.digest() == result.digest() and other.final_accuracy == result.final_accuracy
+            for other in results))
+
+    timed = [value for other in results for value in other.timed(warmup)]
+    counts = [update_counts(other.history, rounds) for other in results]
+    attempted, failed = (sum(column) for column in zip(*counts))
     tail_value, percentile = tail(timed)
-    records = result.history.records[workload.warmup:]
+    records = [record for other in results for record in other.history.records[warmup:]]
     metrics = {
         "setup_s": statistics.median(setups),
         "round_p50_s": statistics.median(timed),
@@ -280,7 +323,12 @@ def end_to_end(workload, seed: int, seconds: float, workdir: str, checks: Checks
         "update_success_share": attempted,
     }
     details = {"round_tail_percentile": percentile, "timed_rounds": len(timed),
-               "warmup_rounds": workload.warmup, "cohort_digest": result.digest()}
+               "warmup_rounds": warmup, "federations": len(results),
+               "cohort_digest": result.digest(),
+               "host_scale": statistics.median(
+                   scale for other in results for scale in other.round_scales[warmup:]),
+               "wall_round_p50_s": statistics.median(
+                   value for other in results for value in other.round_times[warmup:])}
     return metrics, samples, details, (attempted, failed)
 
 
@@ -304,23 +352,25 @@ def per_layer(workload, seed: int, seconds: float, workdir: str, checks: Checks)
     start, end = windows[0][0], windows[-1][1]
     wall = sum(e - s for s, e in windows)
     shares = tracer.self_times(windows)
+    scale = statistics.median(traced.round_scales[warmup:])
     metrics = {name: 0.0 for name in PER_LAYER}
     for layer, seconds_spent in shares.items():
-        metrics[SELF_TIME_METRICS[layer]] = seconds_spent / rounds
+        metrics[SELF_TIME_METRICS[layer]] = seconds_spent * scale / rounds
     for layer in ("data.generate", "crypto.encrypt", "crypto.decrypt"):
         metrics[layer + "_calls"] = tracer.calls(layer, start, end) / rounds
     lookups = tracer.counter("data.cache_lookups", start, end)
     hits = tracer.counter("data.cache_hits", start, end)
     metrics["data.cache_hit_ratio"] = hits / lookups if lookups else 0.0
-    metrics["core.register_s"] = tracer.durations("core.register", *traced.setup_window)
+    metrics["core.register_s"] = (tracer.durations("core.register", *traced.setup_window)
+                                  * traced.setup_scale)
     (ledger_0, cipher_0), (ledger_1, cipher_1) = traced.sizes[warmup], traced.sizes[-1]
     metrics["ledger.bytes"] = (ledger_1 - ledger_0) / rounds
     metrics["crypto.ciphertext_bytes"] = (cipher_1 - cipher_0) / rounds
     metrics["transport.frames"] = tracer.counter("transport.frames", start, end) / rounds
     metrics["transport.bytes"] = tracer.counter("transport.bytes", start, end) / rounds
     metrics["round.unattributed_share"] = shares.get("round", 0.0) / wall
-    untraced_p50 = statistics.median(plain.round_times[warmup:])
-    traced_p50 = statistics.median(traced.round_times[warmup:])
+    untraced_p50 = statistics.median(plain.timed(warmup))
+    traced_p50 = statistics.median(traced.timed(warmup))
     metrics["trace.overhead_s"] = traced_p50 - untraced_p50
 
     ranked = sorted(((seconds_spent / wall, layer) for layer, seconds_spent
@@ -328,6 +378,7 @@ def per_layer(workload, seed: int, seconds: float, workdir: str, checks: Checks)
     details = {
         "timed_rounds": rounds, "warmup_rounds": warmup,
         "untraced_round_p50_s": untraced_p50, "traced_round_p50_s": traced_p50,
+        "host_scale": scale,
         "layer_shares": {layer: round(share, 4) for share, layer in ranked},
         "dominant_layer": ranked[0][1] if ranked else None,
         "cohort_digest": traced.digest(),
@@ -347,8 +398,7 @@ def environment(seed: int) -> dict:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except Exception:  # older numpy: no dict mode
         pass
-    threads = {var: os.environ.get(var) for var in
-               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    threads = {var: os.environ.get(var) for var in BLAS_THREAD_VARIABLES}
     source = hashlib.sha256()
     for directory, _, files in sorted(os.walk(SRC)):
         for name in sorted(files):
@@ -472,5 +522,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def use_one_core() -> None:
+    """Run the whole benchmark process, every thread of it, on one core.
+
+    Python threads take turns under the interpreter lock anyway, so one core
+    costs the program little; what it removes is cross-core wake-ups, whose
+    cost swings with whatever else the machine runs, and work the host probe
+    (:mod:`e2e_probe`), timed on this core, cannot see.  One BLAS thread
+    unless the caller chose otherwise, for the same reason: idle OpenBLAS
+    workers spin.  Called before numpy is imported.
+    """
+    for variable in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(variable, "1")
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+
+
 if __name__ == "__main__":
+    use_one_core()
     sys.exit(main())

@@ -7,6 +7,7 @@ seconds; the sizes the benchmark measures are in ``e2e_workloads.py``.
 
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -21,6 +22,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 
+import e2e_probe  # noqa: E402
 import e2e_trace  # noqa: E402
 import e2e_workloads  # noqa: E402
 
@@ -37,7 +39,7 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as _handle:
 SMALL = {
     "cold-population": dict(n_clients=2_000, participants=16, warmup=1, setups=1),
     "secure-dubhe": dict(n_clients=24, participants=6, tries=2, setups=1),
-    "socket-loopback": dict(setups=1),
+    "socket-loopback": dict(setups=2, federations=2),
 }
 
 
@@ -112,10 +114,23 @@ def test_self_time_goes_to_the_innermost_span_and_sums_to_wall_time():
     assert sum(times.values()) == pytest.approx(10.0)
 
 
-def test_tail_is_the_highest_percentile_with_ten_rounds_beyond_it():
+def test_host_probe_takes_its_share_and_converts_to_reference_seconds(monkeypatch):
+    tick = 2.0 ** -10  # exact in binary, so the probe's sums are exact too
+    clock = itertools.count(step=tick)
+    monkeypatch.setattr(e2e_probe, "perf_counter", lambda: next(clock))
+    probe = e2e_probe.HostProbe()
+    units = []
+    monkeypatch.setattr(probe, "_unit", lambda: units.append(None))
+    assert probe.scale_after(0.0) == e2e_probe.PROBE_REFERENCE_S / tick
+    assert len(units) == 1
+    probe.scale_after(0.05)
+    assert len(units) == 1 + math.ceil(e2e_probe.PROBE_SHARE * 0.05 / tick)
+
+
+def test_tail_is_the_highest_percentile_with_ten_rounds_beyond_it_up_to_p95():
     assert bench.tail([float(v) for v in range(1, 101)]) == (90.0, 90)
-    value, percentile = bench.tail([float(v) for v in range(1, 21)])
-    assert (value, percentile) == (10.0, 50)
+    assert bench.tail([float(v) for v in range(1, 21)]) == (10.0, 50)
+    assert bench.tail([float(v) for v in range(1, 1001)]) == (950.0, 95)
 
 
 def test_fails_without_the_source_tree(tmp_path):
