@@ -267,12 +267,26 @@ class SecureClient:
         return self._encrypt(self.distribution, public_key)
 
 
+def _registry_encoding(packed: bool) -> tuple[int, int]:
+    """``(base, precision)`` of registry ciphertexts.
+
+    Packed registries use integer count packing
+    (:meth:`~repro.crypto.packing.PackingScheme.for_counts`): scale 1, so a
+    slot is a few bits wide instead of ~50.  Both encodings decrypt to the
+    same exact integer counts.
+    """
+    return (2, 0) if packed else (DEFAULT_BASE, DEFAULT_PRECISION)
+
+
 def _noise_terms_needed(public_key: PaillierPublicKey, vector_length: int,
-                        n_clients: int, packed: bool, max_weight: int) -> int:
+                        n_clients: int, packed: bool, max_weight: int,
+                        base: int = DEFAULT_BASE,
+                        precision: int = DEFAULT_PRECISION) -> int:
     """How many ``r^n`` terms a round of *n_clients* encryptions consumes."""
     if not packed:
         return vector_length * n_clients
-    scheme = PackingScheme(public_key, vector_length, max_weight=max_weight)
+    scheme = PackingScheme(public_key, vector_length, max_weight=max_weight,
+                           base=base, precision=precision)
     return scheme.num_ciphertexts * n_clients
 
 
@@ -282,7 +296,9 @@ def _encrypt_and_deliver(public_key: PaillierPublicKey,
                          server: "SecureAggregationServer",
                          executor: BatchCryptoExecutor, packed: bool,
                          max_weight: int,
-                         noise: Optional[NoisePool]) -> None:
+                         noise: Optional[NoisePool],
+                         base: int = DEFAULT_BASE,
+                         precision: int = DEFAULT_PRECISION) -> None:
     """Encrypt every client's vector in one batch and stream it to the server.
 
     Shared by registration and distribution aggregation so the stats
@@ -291,7 +307,8 @@ def _encrypt_and_deliver(public_key: PaillierPublicKey,
     """
     start = perf_counter()
     encrypted = executor.encrypt_many(public_key, vectors, packed=packed,
-                                      max_weight=max_weight, noise=noise)
+                                      max_weight=max_weight, base=base,
+                                      precision=precision, noise=noise)
     encrypt_seconds = perf_counter() - start
     for client, values, ciphertext in zip(clients, vectors, encrypted):
         client.record_transmission(values, ciphertext,
@@ -364,9 +381,10 @@ class SecureRegistrationRound:
     Parameters
     ----------
     packed:
-        Transmit packed ciphertexts (``⌈l/slots⌉`` per registry, headroom for
-        all N clients' additions).  Packed and per-component rounds decrypt
-        to bit-identical overall registries.
+        Transmit count-packed ciphertexts (``⌈l/slots⌉`` per registry,
+        headroom for all N clients' additions; see
+        :meth:`~repro.crypto.packing.PackingScheme.for_counts`).  Packed and
+        per-component rounds decrypt to bit-identical overall registries.
     executor_mode, max_workers:
         Back-end for encrypting all N clients' registries
         (``"sequential"`` / ``"thread"`` / ``"process"``, mirroring
@@ -432,6 +450,7 @@ class SecureRegistrationRound:
                                          arity=self.arity)
         registrations = [client.register(codebook) for client in clients]
         registries = [registration.registry for registration in registrations]
+        base, precision = _registry_encoding(self.packed)
 
         noise: Optional[NoisePool] = None
         noise_seconds = 0.0
@@ -440,13 +459,14 @@ class SecureRegistrationRound:
             noise = NoisePool(keypair.public_key)
             noise.refill(_noise_terms_needed(
                 keypair.public_key, len(registries[0]), n_clients,
-                self.packed, max_weight=n_clients))
+                self.packed, max_weight=n_clients, base=base,
+                precision=precision))
             noise_seconds = perf_counter() - start
 
         executor = BatchCryptoExecutor(self.executor_mode, self.max_workers)
         _encrypt_and_deliver(keypair.public_key, clients, registries, server,
                              executor, self.packed, max_weight=n_clients,
-                             noise=noise)
+                             noise=noise, base=base, precision=precision)
         encrypted_total = server.aggregate()
 
         # every client can decrypt the synchronized aggregate with sk_t; we
@@ -478,7 +498,7 @@ class SecureRegistrationRound:
         plus 16 bytes per client for the returned index arrays, never
         O(N · codebook length).  The decrypted overall registry is
         bit-identical to :meth:`run`'s on the same clients (asserted by the
-        streaming equivalence suite), and the packed path uses the integer
+        streaming equivalence suite), and both packed paths use the integer
         count-packing scheme (:meth:`~repro.crypto.packing.PackingScheme.for_counts`),
         which needs ~2.3× fewer ciphertexts per registry than the float
         default.
@@ -516,9 +536,9 @@ class SecureRegistrationRound:
                                          aggregation=self.aggregation,
                                          arity=self.arity)
         executor = BatchCryptoExecutor(self.executor_mode, self.max_workers)
-        scheme = (PackingScheme.for_counts(keypair.public_key, codebook.length,
-                                           max_weight=total_clients)
-                  if self.packed else None)
+        max_weight = (total_clients if total_clients is not None
+                      else DEFAULT_MAX_WEIGHT)
+        base, precision = _registry_encoding(self.packed)
         noise = NoisePool(keypair.public_key) if self.precompute_noise else None
         stats = ProtocolStats()
         blocks_parts: list[np.ndarray] = []
@@ -550,17 +570,14 @@ class SecureRegistrationRound:
             registries[np.arange(b), reg.indices] = 1.0
             if noise is not None:
                 start = perf_counter()
-                terms = (scheme.num_ciphertexts * b if scheme is not None
-                         else codebook.length * b)
-                noise.refill(terms)
+                noise.refill(_noise_terms_needed(
+                    keypair.public_key, codebook.length, b, self.packed,
+                    max_weight=max_weight, base=base, precision=precision))
                 stats.noise_precompute_seconds += perf_counter() - start
             start = perf_counter()
             encrypted = executor.encrypt_many(
                 keypair.public_key, registries, packed=self.packed,
-                max_weight=(total_clients if total_clients is not None
-                            else DEFAULT_MAX_WEIGHT),
-                base=(2 if self.packed else DEFAULT_BASE),
-                precision=(0 if self.packed else DEFAULT_PRECISION),
+                max_weight=max_weight, base=base, precision=precision,
                 noise=noise)
             stats.encrypt_seconds += perf_counter() - start
             for values, ciphertext in zip(registries, encrypted):
@@ -628,9 +645,15 @@ class SecureDistributionAggregation:
         )
         self.stats = ProtocolStats()
 
-    def score_selection(self, client_distributions: np.ndarray,
-                        selected: Sequence[int]) -> float:
-        """Return ``||p_o − p_u||₁`` for *selected*, computed under encryption."""
+    def population(self, client_distributions: np.ndarray,
+                   selected: Sequence[int]) -> np.ndarray:
+        """Population distribution ``p_o`` of *selected*, recovered under encryption.
+
+        Every selected client encrypts its ``p_l``, the server sums the
+        ciphertexts and the agent decrypts the aggregate only, normalising
+        it to ``p_o``.  An all-zero aggregate yields the zero vector, as the
+        plaintext mean of all-zero distributions does.
+        """
         distributions = np.asarray(client_distributions, dtype=float)
         selected = list(selected)
         if not selected:
@@ -650,13 +673,19 @@ class SecureDistributionAggregation:
         _encrypt_and_deliver(self.keypair.public_key, clients, vectors, server,
                              self.executor, self.packed,
                              max_weight=len(selected), noise=self.noise)
-        aggregate = server.aggregate()
-        uniform = np.full(self.config.num_classes, 1.0 / self.config.num_classes)
-        score = self.agent.score_population(aggregate, uniform)
+        aggregate = self.agent.decrypt_vector(server.aggregate())
         round_stats = ProtocolStats()
         for client in clients:
             round_stats = round_stats.merged_with(client.stats)
         round_stats = round_stats.merged_with(server.stats)
         round_stats.noise_precompute_seconds += noise_seconds
         self.stats = self.stats.merged_with(round_stats)
-        return score
+        total = aggregate.sum()
+        return aggregate / total if total > 0 else np.zeros_like(aggregate)
+
+    def score_selection(self, client_distributions: np.ndarray,
+                        selected: Sequence[int]) -> float:
+        """Return ``||p_o − p_u||₁`` for *selected*, computed under encryption."""
+        uniform = np.full(self.config.num_classes, 1.0 / self.config.num_classes)
+        p_o = self.population(client_distributions, selected)
+        return float(np.abs(p_o - uniform).sum())

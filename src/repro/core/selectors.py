@@ -38,7 +38,42 @@ from .multitime import MultiTimeResult, multi_time_selection
 from .probability import bernoulli_participation, participation_probabilities
 from .registry import BatchRegistration, RegistrationResult, RegistryCodebook
 
-__all__ = ["ClientSelector", "RandomSelector", "GreedySelector", "DubheSelector"]
+__all__ = ["ClientSelector", "RandomSelector", "GreedySelector", "DubheSelector",
+           "proactive_draw"]
+
+
+def proactive_draw(probabilities: np.ndarray, k: int, rng: np.random.Generator,
+                   rebalance_to_k: bool = True) -> np.ndarray:
+    """One proactive participation draw, topped up / trimmed to exactly *k*.
+
+    Every client volunteers with its eq. (6) probability; the server then
+    trims an oversized pool, or tops an undersized one up from the
+    non-volunteers, uniformly at random.  The RNG stream is one uniform
+    block for the Bernoulli step followed by at most one ``choice`` call,
+    so every selector built on this draw (plaintext or encrypted) consumes
+    a seeded RNG identically and picks identical pools.
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> pool = proactive_draw(np.full(6, 0.5), 3, np.random.default_rng(0))
+    >>> (len(pool), len(set(pool.tolist())))
+    (3, 3)
+    """
+    volunteers = bernoulli_participation(probabilities, rng=rng)
+    pool = volunteers.astype(np.int64, copy=False)
+    if not rebalance_to_k:
+        return pool
+    if pool.size > k:
+        keep = rng.choice(pool.size, size=k, replace=False)
+        pool = pool[keep]
+    elif pool.size < k:
+        inside = np.zeros(len(probabilities), dtype=bool)
+        inside[pool] = True
+        outside = np.flatnonzero(~inside)  # == setdiff1d(arange(N), pool)
+        extra = rng.choice(outside, size=k - pool.size, replace=False)
+        pool = np.concatenate([pool, extra])
+    return pool
 
 
 class ClientSelector:
@@ -255,28 +290,9 @@ class DubheSelector(ClientSelector):
     # -- one tentative draw ----------------------------------------------------------
 
     def _tentative_draw(self, _h: int) -> np.ndarray:
-        """One proactive participation draw, topped up / trimmed to exactly K.
-
-        Array-native version of the original list-based draw: identical RNG
-        stream (one uniform block for the Bernoulli step, then the same
-        ``choice`` calls on the same arguments), so seeded selections match
-        the reference implementation element for element.
-        """
-        volunteers = bernoulli_participation(self.probabilities, rng=self.rng)
-        pool = volunteers.astype(np.int64, copy=False)
-        k = self.participants_per_round
-        if not self.rebalance_to_k:
-            return pool
-        if pool.size > k:
-            keep = self.rng.choice(pool.size, size=k, replace=False)
-            pool = pool[keep]
-        elif pool.size < k:
-            inside = np.zeros(self.n_clients, dtype=bool)
-            inside[pool] = True
-            outside = np.flatnonzero(~inside)  # == setdiff1d(arange(N), pool)
-            extra = self.rng.choice(outside, size=k - pool.size, replace=False)
-            pool = np.concatenate([pool, extra])
-        return pool
+        """One tentative try: :func:`proactive_draw` over this selector's RNG."""
+        return proactive_draw(self.probabilities, self.participants_per_round,
+                              self.rng, rebalance_to_k=self.rebalance_to_k)
 
     # -- public API --------------------------------------------------------------------
 

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import DubheConfig
+from repro.core.secure import (SecureAggregationServer, SecureClient,
+                               SecureDistributionAggregation)
 from repro.core.secure_selector import SecureDubheSelector
 from repro.core.selectors import DubheSelector, RandomSelector
 from repro.crypto.keyagent import KeyAgent
+from repro.crypto.packing import PackingScheme
+from repro.crypto.paillier import generate_keypair
 from repro.data.partition import EMDTargetPartitioner
 from repro.data.skew import half_normal_class_proportions
 
@@ -20,10 +24,11 @@ def small_federation():
     return partition.client_distributions()
 
 
-def settled_config(k=6, h=2):
+def settled_config(k=6, h=2, key_size=128):
     return DubheConfig(num_classes=10, reference_set=(1, 2, 10),
                        thresholds={1: 0.7, 2: 0.1, 10: 0.0},
-                       participants_per_round=k, tentative_selections=h, key_size=128)
+                       participants_per_round=k, tentative_selections=h,
+                       key_size=key_size)
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +72,34 @@ class TestSecureDubheSelector:
             assert secure.select(r) == plaintext.select(r)
 
     def test_protocol_stats_accumulate(self, small_federation):
-        agent = KeyAgent(key_size=128, rng=random.Random(2))
-        secure = SecureDubheSelector(small_federation, settled_config(), seed=0, agent=agent)
-        after_registration = secure.stats.messages
-        assert after_registration >= len(small_federation)
-        assert secure.stats.ciphertext_bytes > secure.stats.plaintext_bytes
-        secure.select(0)
-        assert secure.stats.messages > after_registration
+        config = settled_config()
+        secure = SecureDubheSelector(small_federation, config, seed=0,
+                                     agent=KeyAgent(key_size=128, rng=random.Random(2)))
+        # an identically seeded agent regenerates the selector's two round keys
+        twin = KeyAgent(key_size=128, rng=random.Random(2))
+        registration_key = twin.new_round().public_key
+        scoring_key = twin.new_round().public_key
+        assert scoring_key == secure.agent.keypair.public_key
+        n = len(small_federation)
+        k, h = config.participants_per_round, config.tentative_selections
+        registry_cts = PackingScheme.for_counts(
+            registration_key, secure.codebook.length, max_weight=n).num_ciphertexts
+        p_l_cts = PackingScheme(scoring_key, config.num_classes,
+                                max_weight=k).num_ciphertexts
+        assert registry_cts < secure.codebook.length and p_l_cts < config.num_classes
+        # every upload is metered by its sender and by the server; the
+        # decrypted registry aggregate is synced back to all N clients
+        uploads = n * registry_cts * registration_key.ciphertext_bytes()
+        sync = n * registry_cts * registration_key.ciphertext_bytes()
+        assert secure.stats.messages == 3 * n
+        assert secure.stats.ciphertext_bytes == 2 * uploads + sync
+        registration_bytes = secure.stats.ciphertext_bytes
+        for r in range(2):
+            secure.select(r)
+            tries = (r + 1) * h * k
+            assert secure.stats.messages == 3 * n + 2 * tries
+            assert secure.stats.ciphertext_bytes == registration_bytes + (
+                2 * tries * p_l_cts * scoring_key.ciphertext_bytes())
 
     def test_beats_random_on_skewed_federation(self, small_federation, secure_selector):
         rand = RandomSelector(small_federation, 6, seed=0)
@@ -94,3 +120,53 @@ class TestSecureDubheSelector:
                                        agent=agent, score_securely=False)
         selected = selector.select(0)
         assert len(selected) == 6
+
+
+class TestPackedSelectorPath:
+    """The selector's packed ciphertexts change nothing but the traffic."""
+
+    def test_packed_population_bit_identical(self, small_federation):
+        config = settled_config(key_size=256)
+        selected = [0, 4, 7, 11, 19, 23]
+        populations = [
+            SecureDistributionAggregation(
+                config, agent=KeyAgent(key_size=256, rng=random.Random(40)),
+                packed=packed,
+            ).population(small_federation, selected)
+            for packed in (False, True)
+        ]
+        assert np.array_equal(populations[0], populations[1])
+        np.testing.assert_allclose(populations[1],
+                                   small_federation[selected].mean(axis=0), atol=1e-9)
+
+    @pytest.mark.parametrize("h", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_selections_equal_plaintext(self, small_federation, seed, h):
+        config = settled_config(h=h)
+        secure = SecureDubheSelector(small_federation, config, seed=seed,
+                                     agent=KeyAgent(key_size=128,
+                                                    rng=random.Random(50 + seed)))
+        plaintext = DubheSelector(small_federation, config, seed=seed)
+        assert np.array_equal(secure.overall_registry, plaintext.overall_registry)
+        assert np.array_equal(secure.probabilities, plaintext.probabilities)
+        for r in range(4):
+            assert secure.select(r) == plaintext.select(r)
+            assert secure.last_result.scores == pytest.approx(
+                plaintext.last_result.scores, abs=1e-12)
+
+    def test_registrations_materialise_lazily(self, small_federation, secure_selector):
+        plaintext = DubheSelector(small_federation, settled_config(), seed=0)
+        assert [r.index for r in secure_selector.registrations] == \
+            [r.index for r in plaintext.registrations]
+
+    def test_headroom_overrun_raises(self, small_federation):
+        k = 4
+        keypair = generate_keypair(128, rng=random.Random(60))
+        server = SecureAggregationServer(keypair.public_key)
+        for client_id in range(k):
+            server.receive(SecureClient(client_id, small_federation[client_id],
+                                        packed=True, max_weight=k)
+                           .encrypted_distribution(keypair.public_key))
+        extra = SecureClient(k, small_federation[k], packed=True, max_weight=k)
+        with pytest.raises(OverflowError):
+            server.receive(extra.encrypted_distribution(keypair.public_key))

@@ -9,6 +9,8 @@ also pins down the streaming-specific API contract: iterable inputs,
 O(log N) fold depth.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from repro.core.secure import (
     StreamedRegistration,
     iter_distribution_batches,
 )
+from repro.crypto.keyagent import KeyAgent
+from repro.crypto.packing import PackingScheme
 
 N_CLIENTS = 23
 
@@ -67,6 +71,22 @@ class TestStreamEqualsRun:
         # sides plus N aggregate syncs
         assert streamed.stats.messages == stats.messages == 3 * N_CLIENTS
         assert streamed.stats.plaintext_bytes == stats.plaintext_bytes
+
+    def test_packed_run_uses_count_packing(self, config, distributions):
+        """Both packed paths ship ⌈l/slots⌉ count-packed ciphertexts."""
+        overall, _, stats = SecureRegistrationRound(
+            config, agent=KeyAgent(key_size=64, rng=random.Random(5)),
+            packed=True).run(distributions)
+        agent = KeyAgent(key_size=64, rng=random.Random(5))
+        streamed = SecureRegistrationRound(
+            config, agent=agent, packed=True).run_stream(distributions)
+        public_key = agent.keypair.public_key
+        scheme = PackingScheme.for_counts(
+            public_key, streamed.registration.length, max_weight=N_CLIENTS)
+        np.testing.assert_array_equal(streamed.overall, overall)
+        # N uploads seen by client and server sides plus N aggregate syncs
+        expected = 3 * N_CLIENTS * scheme.num_ciphertexts * public_key.ciphertext_bytes()
+        assert stats.ciphertext_bytes == streamed.stats.ciphertext_bytes == expected
 
     def test_batching_is_invisible(self, config, distributions):
         """Any chunking of the same clients produces the same result."""
